@@ -28,7 +28,6 @@
      BDDMIN_BENCH_TIME_BUDGET=S   wall-clock budget in seconds
      BDDMIN_BENCH_FAIL_FAST=1     cancel the suite on the first DNF
      BDDMIN_BENCH_SERVE=0   skip the serve load-generation phase
-     BDDMIN_BENCH_PARALLEL=0  skip the shared-store parallel-engine phase
      BDDMIN_BENCH_REPR=R    like --repr R
      BDDMIN_BENCH_CBDD=0    skip the CBDD ablation phase
      BDDMIN_BENCH_SERVE_CLIENTS=N   concurrent loadgen clients (default 4)
@@ -560,42 +559,6 @@ let serve_phase () =
             stats.Serve.Loadgen.server;
       }
 
-(* ----- Parallel engine phase: seq vs par on a shared node store -----
-
-   The same reachability workload runs twice on one shared-store view:
-   once sequential, once with the image merges fanned out across a
-   worker pool (each task on its own view of the store).  Both runs
-   must return the {e same canonical edge} per machine — that identity
-   check plus the store's own telemetry (stripes, intern lock retries,
-   GC barrier waits) is the [parallel] section of the JSON baseline.
-   On a single-CPU host the speedup hovers around 1.0; the section
-   still certifies that the concurrent tier ran and matched. *)
-
-let parallel_enabled = Sys.getenv_opt "BDDMIN_BENCH_PARALLEL" <> Some "0"
-
-let parallel_stats : Harness.Bench_json.parallel_stats option ref = ref None
-
-let parallel_phase () =
-  let par_jobs = max 2 jobs in
-  Printf.printf
-    "== Parallel engine (shared store, %d worker domains, seq vs par) ==\n%!"
-    par_jobs;
-  let stats =
-    Harness.Parbench.run ~jobs:par_jobs
-      ~progress:(fun line -> Printf.printf "   %s\n%!" line)
-      ()
-  in
-  Printf.printf
-    "   seq %.3fs  par %.3fs  speedup %.2fx  (%d stripes, %d intern \
-     retries, %d barrier waits)\n\n%!"
-    stats.Harness.Bench_json.par_seq_seconds
-    stats.Harness.Bench_json.par_par_seconds
-    stats.Harness.Bench_json.par_speedup
-    stats.Harness.Bench_json.par_stripes
-    stats.Harness.Bench_json.par_intern_retries
-    stats.Harness.Bench_json.par_barrier_waits;
-  parallel_stats := Some stats
-
 (* ----- CBDD ablation: the quick suite under chain reduction -----
 
    The quick sub-suite is re-captured with every benchmark manager in
@@ -676,8 +639,7 @@ let cbdd_phase () =
    against the predecessor. *)
 
 let emit_bench_json path =
-  Harness.Bench_json.write ?serve:!serve_stats ?parallel:!parallel_stats
-    ?cbdd:!cbdd_stats ~repr ~path ~jobs ~quick ~max_calls
+  Harness.Bench_json.write ?serve:!serve_stats ?cbdd:!cbdd_stats ~repr ~path ~jobs ~quick ~max_calls
     ~image:(Fsm.Image.strategy_name image_strategy)
     ~limits:config.Harness.Capture.limits
     ~benches:(List.length benches) ~capture_seconds:!capture_seconds
@@ -696,7 +658,6 @@ let () =
   timed_phase "ablations" ablations;
   timed_phase "phase_breakdown" phase_breakdown;
   timed_phase "engine_stats" engine_stats;
-  if parallel_enabled then timed_phase "parallel" parallel_phase;
   if cbdd_enabled then timed_phase "cbdd" cbdd_phase;
   if serve_enabled then timed_phase "serve" serve_phase;
   emit_bench_json json_path;

@@ -373,7 +373,7 @@ let equiv_cmd =
 (* ----- reach ----- *)
 
 let reach_cmd =
-  let run spec image cluster_bound jobs minimizer repr budget trace =
+  let run spec image cluster_bound minimizer repr budget trace =
     match load_netlist spec with
     | Error e ->
       Printf.eprintf "error: %s\n" e;
@@ -381,28 +381,14 @@ let reach_cmd =
     | Ok nl ->
       let strategy = resolve_image_strategy image in
       let minimize = resolve_minimizer minimizer in
-      let repr = resolve_repr repr in
-      (* -j N > 1 swaps the private manager for a view of a shared node
-         store plus a worker pool: the fixpoint's image merges fan out
-         across the pool, each worker on its own view, and the result is
-         bit-identical to -j 1 (BDDs are canonical store-wide) *)
-      let with_engine k =
-        if jobs <= 1 then k (Bdd.create ~repr ()) None
-        else begin
-          let store = Bdd.Shared.create ~repr () in
-          let man = Bdd.Shared.attach store in
-          Exec.Pool.with_pool ~jobs @@ fun pool ->
-          k man (Some (Fsm.Image.par ~pool ~store))
-        end
-      in
-      with_engine @@ fun man par ->
+      let man = Bdd.create ~repr:(resolve_repr repr) () in
       let sym = Fsm.Symbolic.of_netlist man nl in
       (* budget the traversal, not the netlist-to-BDD build: the
          fixpoint traps exhaustion and reports a partial result *)
       Bdd.set_budget man (make_budget budget);
       let reached, st =
         with_trace trace @@ fun () ->
-        Fsm.Reach.reachable ~strategy ?cluster_bound ?par ?minimize sym
+        Fsm.Reach.reachable ~strategy ?cluster_bound ?minimize sym
       in
       Printf.printf "%s\n" (Fsm.Netlist.stats nl);
       Printf.printf
@@ -425,10 +411,9 @@ let reach_cmd =
   Cmd.v
     (Cmd.info "reach" ~doc:"Symbolic reachability statistics")
     Term.(
-      const (fun () a b c d e f g h -> run a b c d e f g h)
+      const (fun () a b c d e f g -> run a b c d e f g)
       $ logs_term $ spec $ image_term "partitioned" $ cluster_bound_term
-      $ jobs_term $ minimizer_term $ repr_term $ budget_spec_term
-      $ trace_term)
+      $ minimizer_term $ repr_term $ budget_spec_term $ trace_term)
 
 (* ----- stats ----- *)
 
@@ -747,16 +732,6 @@ let bench_cmd =
         benches
     in
     let calls = suite.Harness.Capture.suite_calls in
-    (* the parallel-engine exhibit: seq-vs-par reachability on a shared
-       store, at least two worker domains so the concurrent tier is
-       actually exercised *)
-    Printf.eprintf "parallel phase: %d worker domains\n%!" (max 2 jobs);
-    let parallel, par_dt =
-      Obs.Clock.timed @@ fun () ->
-      Harness.Parbench.run ~jobs:(max 2 jobs)
-        ~progress:(fun m -> Printf.eprintf "  %s\n%!" m)
-        ()
-    in
     Printf.eprintf "cbdd ablation: re-capturing the quick suite\n%!";
     let cbdd, cbdd_dt =
       cbdd_phase ~config ~main_calls:calls
@@ -764,7 +739,7 @@ let bench_cmd =
     in
     let serve, phases =
       if serve_requests <= 0 then
-        (None, [ ("capture", dt); ("parallel", par_dt); ("cbdd", cbdd_dt) ])
+        (None, [ ("capture", dt); ("cbdd", cbdd_dt) ])
       else begin
         Printf.eprintf "serve phase: %d requests over %d clients\n%!"
           serve_requests serve_clients;
@@ -772,11 +747,10 @@ let bench_cmd =
           serve_phase ~clients:serve_clients ~requests:serve_requests
         in
         ( Some stats,
-          [ ("capture", dt); ("parallel", par_dt); ("cbdd", cbdd_dt);
-            ("serve", serve_dt) ] )
+          [ ("capture", dt); ("cbdd", cbdd_dt); ("serve", serve_dt) ] )
       end
     in
-    Harness.Bench_json.write ?serve ~parallel ~cbdd ~repr ~path:out ~jobs
+    Harness.Bench_json.write ?serve ~cbdd ~repr ~path:out ~jobs
       ~quick ~max_calls
       ~image:(Fsm.Image.strategy_name image_strategy)
       ~limits:config.Harness.Capture.limits
@@ -1287,7 +1261,7 @@ let serve_cmd =
               registry in Prometheus text format; SIGUSR1 dumps the \
               flight recorder (the last $(b,--flight-capacity) request \
               records) to $(b,--flight-dump); requests carrying \
-              $(b,\\\"explain\\\": true) receive per-request phase \
+              $(b,\"explain\": true) receive per-request phase \
               timings, budget consumption and engine stats deltas on \
               the reply; $(b,--trace FILE) streams per-request spans as \
               Chrome trace-event JSON (see docs/TUTORIAL.md §12).";

@@ -97,14 +97,9 @@ type budget = {
   mutable b_exhausted : budget_reason option;   (* sticky: first trip *)
 }
 
-(* A manager is either private (the historical domain-local design: its
-   own unique table in [uslots]) or a per-domain *view* of a shared node
-   store ([shared = Some _]): interning then goes to the store's striped
-   table and the view keeps only domain-local state — the computed
-   cache, the cube/signature interning tables, the external roots, the
-   budget and the statistics counters.  Dispatch is a single match on
-   the immutable [shared] field, so the private hot paths are
-   unchanged. *)
+(* A manager is domain-local: it owns its unique table, computed cache,
+   roots, budget and counters, with no internal locking.  Parallel work
+   gives each worker its own manager. *)
 type man = {
   chain : bool;                 (* chain-reduced (CBDD) representation *)
   mutable vars : int;
@@ -156,53 +151,6 @@ type man = {
   mutable listeners : (engine_event -> unit) list;
   (* dynamic-reordering policy installed by [Reorder.Policy] *)
   mutable reorder_state : reorder_policy_state option;
-  (* concurrent tier: Some store makes this manager a per-domain view *)
-  shared : shared option;
-  mutable op_depth : int;       (* nesting of barrier-bracketed operations *)
-}
-
-(* Shared node store: a striped open-addressed unique table plus the
-   stop-the-world GC barrier.  The stripe index comes from hash bits
-   well above the in-stripe probe bits, so two concurrent interns of
-   different nodes rarely meet on a lock; within a stripe the probe
-   sequence is the classical linear one.  All global quantities (node
-   ids, live count, telemetry) are atomics. *)
-and shared = {
-  sh_chain : bool;                                (* representation of every view *)
-  sh_stripes : stripe array;                      (* length is a power of two *)
-  sh_terminal : node;
-  sh_top : t;
-  sh_next_id : int Atomic.t;
-  sh_made : int Atomic.t;                         (* nodes ever interned *)
-  sh_live : int Atomic.t;                         (* live across all stripes *)
-  sh_peak : int Atomic.t;
-  sh_vars : int Atomic.t;                         (* max over views *)
-  sh_ext_refs : int Atomic.t;                     (* distinct rooted nodes, all views *)
-  sh_gc_wanted : bool Atomic.t;
-  sh_no_auto : int Atomic.t;                      (* views with auto-GC suspended *)
-  (* stop-the-world barrier: mutators hold [sh_active] while inside an
-     operation; a collector raises [sh_gc_pending], waits for the count
-     to drain to zero, and new entrants park on [sh_cv] *)
-  sh_active : int Atomic.t;
-  sh_gc_pending : bool Atomic.t;
-  sh_lock : Mutex.t;                              (* views list + barrier waits *)
-  sh_cv : Condition.t;
-  sh_gc_lock : Mutex.t;                           (* serializes collectors *)
-  mutable sh_views : man list;                    (* under sh_lock *)
-  mutable sh_free : man list;                     (* reusable views, under sh_lock *)
-  (* telemetry *)
-  sh_intern_retries : int Atomic.t;               (* contended stripe locks *)
-  sh_barrier_waits : int Atomic.t;
-  sh_barrier_wait_ns : int Atomic.t;
-  sh_gc_runs : int Atomic.t;
-  sh_gc_reclaimed : int Atomic.t;
-}
-
-and stripe = {
-  st_lock : Mutex.t;
-  mutable st_slots : node array;
-  mutable st_mask : int;
-  mutable st_count : int;
 }
 
 let const_var = max_int
@@ -275,8 +223,6 @@ let new_man ?(nvars = 0) ?(cache_bits = default_cache_bits)
     peak_live = 0;
     listeners = [];
     reorder_state = None;
-    shared = None;
-    op_depth = 0;
   }
 
 let on_event man f = man.listeners <- f :: man.listeners
@@ -437,157 +383,12 @@ let u_rebuild man newcap keep =
     (fun n -> if n != man.terminal && keep n then u_insert_fresh man n)
     old
 
-(* ----- shared store: stripes and the stop-the-world barrier ----- *)
-
-let min_stripe_capacity = 1024
-
-(* Stripe selection uses bits 30.. of the node hash; in-stripe probing
-   uses the low bits.  Stripes would need to exceed 2^30 slots before
-   the two ranges overlap. *)
-let stripe_shift = 30
-
-let[@inline] stripe_of sh h =
-  sh.sh_stripes.((h lsr stripe_shift) land (Array.length sh.sh_stripes - 1))
-
-let stripe_insert_fresh terminal st n =
-  let mask = st.st_mask in
-  let i = ref (u_hash n.var n.bot n.n_hi.node.id (uid n.n_lo) land mask) in
-  while st.st_slots.(!i) != terminal do
-    i := (!i + 1) land mask
-  done;
-  st.st_slots.(!i) <- n
-
-let stripe_rebuild terminal st newcap keep =
-  let old = st.st_slots in
-  st.st_slots <- Array.make newcap terminal;
-  st.st_mask <- newcap - 1;
-  let count = ref 0 in
-  Array.iter
-    (fun n ->
-       if n != terminal && keep n then begin
-         incr count;
-         stripe_insert_fresh terminal st n
-       end)
-    old;
-  st.st_count <- !count
-
-let rec bump_shared_peak sh live =
-  let p = Atomic.get sh.sh_peak in
-  if live > p && not (Atomic.compare_and_set sh.sh_peak p live) then
-    bump_shared_peak sh live
-
-(* Barrier entry: the fast path is one atomic increment and one atomic
-   load.  When a collection is pending the entrant backs out (waking the
-   collector if it was the last active mutator), parks until the world
-   restarts, and retries.  [op_depth] makes the bracket re-entrant per
-   view, so a public operation implemented with other public operations
-   never deadlocks against its own domain. *)
-let rec barrier_enter sh =
-  Atomic.incr sh.sh_active;
-  if Atomic.get sh.sh_gc_pending then begin
-    if Atomic.fetch_and_add sh.sh_active (-1) = 1 then begin
-      Mutex.lock sh.sh_lock;
-      Condition.broadcast sh.sh_cv;
-      Mutex.unlock sh.sh_lock
-    end;
-    let t0 = Obs.Clock.now_ns () in
-    Mutex.lock sh.sh_lock;
-    while Atomic.get sh.sh_gc_pending do
-      Condition.wait sh.sh_cv sh.sh_lock
-    done;
-    Mutex.unlock sh.sh_lock;
-    Atomic.incr sh.sh_barrier_waits;
-    ignore
-      (Atomic.fetch_and_add sh.sh_barrier_wait_ns
-         (Int64.to_int (Int64.sub (Obs.Clock.now_ns ()) t0)));
-    barrier_enter sh
-  end
-
-let barrier_exit sh =
-  if
-    Atomic.fetch_and_add sh.sh_active (-1) = 1
-    && Atomic.get sh.sh_gc_pending
-  then begin
-    Mutex.lock sh.sh_lock;
-    Condition.broadcast sh.sh_cv;
-    Mutex.unlock sh.sh_lock
-  end
-
-let[@inline] op_enter man =
-  match man.shared with
-  | None -> ()
-  | Some sh ->
-    man.op_depth <- man.op_depth + 1;
-    if man.op_depth = 1 then barrier_enter sh
-
-let[@inline] op_exit man =
-  match man.shared with
-  | None -> ()
-  | Some sh ->
-    man.op_depth <- man.op_depth - 1;
-    if man.op_depth = 0 then barrier_exit sh
-
-(* Bracket a whole public operation.  The closure allocation is per
-   operation entry, not per recursion step, and only matters at all on
-   shared views ([Fun.protect] must release the barrier when a budget
-   trips mid-kernel). *)
-let[@inline] shared_op man k =
-  match man.shared with
-  | None -> k ()
-  | Some _ ->
-    op_enter man;
-    Fun.protect ~finally:(fun () -> op_exit man) k
-
-let intern_shared sh var ~bot:bt ~hi:h ~lo:l =
-  assert (not h.neg);
-  let hid = h.node.id and luid = uid l in
-  let h0 = u_hash var bt hid luid in
-  let st = stripe_of sh h0 in
-  if not (Mutex.try_lock st.st_lock) then begin
-    Atomic.incr sh.sh_intern_retries;
-    Mutex.lock st.st_lock
-  end;
-  if (st.st_count + 1) * 4 > (st.st_mask + 1) * 3 then begin
-    stripe_rebuild sh.sh_terminal st ((st.st_mask + 1) * 2) (fun _ -> true);
-    (* as in the private engine, a growing table arms a collection at
-       the next operation boundary — but only if something is rooted *)
-    if Atomic.get sh.sh_ext_refs > 0 then Atomic.set sh.sh_gc_wanted true
-  end;
-  let mask = st.st_mask in
-  let rec probe i =
-    let n = st.st_slots.(i) in
-    if n == sh.sh_terminal then begin
-      let id = Atomic.fetch_and_add sh.sh_next_id 1 in
-      let n = { id; var; bot = bt; n_hi = h; n_lo = l; mark = false } in
-      Atomic.incr sh.sh_made;
-      let live = 1 + Atomic.fetch_and_add sh.sh_live 1 in
-      bump_shared_peak sh live;
-      st.st_count <- st.st_count + 1;
-      st.st_slots.(i) <- n;
-      Mutex.unlock st.st_lock;
-      { neg = false; node = n }
-    end
-    else if
-      n.var = var && n.bot = bt && n.n_hi.node.id = hid && uid n.n_lo = luid
-    then begin
-      Mutex.unlock st.st_lock;
-      { neg = false; node = n }
-    end
-    else probe ((i + 1) land mask)
-  in
-  probe (h0 land mask)
-
-let[@inline] live_count man =
-  match man.shared with
-  | None -> man.ucount
-  | Some sh -> Atomic.get sh.sh_live
-
 (* Intern a node whose then-edge is already regular.  The growth path
    additionally publishes a [Table_grown] event: listeners run mid-intern
-   (inside the operation bracket), so they must only record state — the
+   (inside a kernel recursion), so they must only record state — the
    [Reorder.Policy] listener sets a pending flag that is consumed at a
    clean operation boundary. *)
-let intern_private man var ~bot:bt ~hi:h ~lo:l =
+let intern man var ~bot:bt ~hi:h ~lo:l =
   assert (not h.neg);
   if (man.ucount + 1) * 4 > (man.umask + 1) * 3 then begin
     let old_capacity = man.umask + 1 in
@@ -620,11 +421,6 @@ let intern_private man var ~bot:bt ~hi:h ~lo:l =
   in
   probe (u_hash var bt hid luid land mask)
 
-let[@inline] intern man var ~bot ~hi ~lo =
-  match man.shared with
-  | None -> intern_private man var ~bot ~hi ~lo
-  | Some sh -> intern_shared sh var ~bot ~hi ~lo
-
 (* Intern [(var, bot, h, l)] with [h] already regular, applying the
    chain absorption rule on chain managers: a one-armed node whose
    else-edge is a regular node rooted exactly one level below the bottom
@@ -641,24 +437,12 @@ let intern_canon man var ~bot:bt ~hi:h ~lo:l =
     intern man var ~bot:n.bot ~hi:n.n_hi ~lo:n.n_lo
   else intern man var ~bot:bt ~hi:h ~lo:l
 
-(* [mk] is itself barrier-bracketed: external callers (Store loading,
-   netlist synthesis) construct nodes with it outside any public
-   operation, and on a shared view such a bare intern must not race a
-   collection.  Inside kernels the bracket is already held and the
-   re-entrant [op_depth] makes this two plain integer writes. *)
 let mk man var ~hi:h ~lo:l =
   assert (var < topvar h && var < topvar l);
   if equal h l then h
-  else begin
-    op_enter man;
-    let r =
-      if h.neg then
-        compl (intern_canon man var ~bot:var ~hi:(compl h) ~lo:(compl l))
-      else intern_canon man var ~bot:var ~hi:h ~lo:l
-    in
-    op_exit man;
-    r
-  end
+  else if h.neg then
+    compl (intern_canon man var ~bot:var ~hi:(compl h) ~lo:(compl l))
+  else intern_canon man var ~bot:var ~hi:h ~lo:l
 
 (* The chain [x_t \/ ... \/ x_m \/ r] as an edge ([t <= m < topvar r]).
    On a chain manager this is one node (or an absorption into [r]'s own
@@ -666,25 +450,17 @@ let mk man var ~hi:h ~lo:l =
 let mk_or_chain man t m r =
   assert (t <= m && m < topvar r);
   if is_one r then r
-  else if man.chain then begin
-    op_enter man;
-    let e =
-      if (not r.neg) && r.node.var = m + 1 then
-        let n = r.node in
-        intern man t ~bot:n.bot ~hi:n.n_hi ~lo:n.n_lo
-      else intern man t ~bot:m ~hi:(one man) ~lo:r
-    in
-    op_exit man;
-    e
-  end
+  else if man.chain then
+    if (not r.neg) && r.node.var = m + 1 then
+      let n = r.node in
+      intern man t ~bot:n.bot ~hi:n.n_hi ~lo:n.n_lo
+    else intern man t ~bot:m ~hi:(one man) ~lo:r
   else begin
-    op_enter man;
     let e = ref r in
     for i = m downto t do
       if not (equal !e (one man)) then
         e := intern_canon man i ~bot:i ~hi:(one man) ~lo:!e
     done;
-    op_exit man;
     !e
   end
 
@@ -694,9 +470,7 @@ let mk_or_chain man t m r =
 let chain_suffix man e v =
   let n = e.node in
   assert (n.var < v && v <= n.bot);
-  op_enter man;
   let s = intern man v ~bot:n.bot ~hi:n.n_hi ~lo:n.n_lo in
-  op_exit man;
   { neg = e.neg; node = s.node }
 
 (* Cofactors push the edge's complement bit through the node.  At the
@@ -721,15 +495,6 @@ let branches man e v =
 let ithvar man i =
   if i < 0 then invalid_arg "Core_dd.ithvar: negative variable";
   if i >= man.vars then man.vars <- i + 1;
-  (match man.shared with
-   | None -> ()
-   | Some sh ->
-     let rec bump () =
-       let v = Atomic.get sh.sh_vars in
-       if man.vars > v && not (Atomic.compare_and_set sh.sh_vars v man.vars)
-       then bump ()
-     in
-     bump ());
   if i >= Array.length man.var_edges then begin
     let bigger = Array.make (next_pow2 (i + 1) 16) None in
     Array.blit man.var_edges 0 bigger 0 (Array.length man.var_edges);
@@ -744,39 +509,21 @@ let ithvar man i =
 
 (* ----- external references and garbage collection ----- *)
 
-(* Roots are registered per view.  On a shared view the mutation is
-   barrier-bracketed: the collector reads every view's root table while
-   the world is stopped, so no root update may be in flight. *)
 let ref_ man e =
   let n = e.node in
-  if n.var <> const_var then begin
-    op_enter man;
-    (match Hashtbl.find_opt man.refs n.id with
-     | Some (_, c) -> incr c
-     | None ->
-       Hashtbl.add man.refs n.id (n, ref 1);
-       (match man.shared with
-        | None -> ()
-        | Some sh -> Atomic.incr sh.sh_ext_refs));
-    op_exit man
-  end
+  if n.var <> const_var then
+    match Hashtbl.find_opt man.refs n.id with
+    | Some (_, c) -> incr c
+    | None -> Hashtbl.add man.refs n.id (n, ref 1)
 
 let deref man e =
   let n = e.node in
-  if n.var <> const_var then begin
-    op_enter man;
-    (match Hashtbl.find_opt man.refs n.id with
-     | Some (_, c) ->
-       decr c;
-       if !c <= 0 then begin
-         Hashtbl.remove man.refs n.id;
-         match man.shared with
-         | None -> ()
-         | Some sh -> Atomic.decr sh.sh_ext_refs
-       end
-     | None -> ());
-    op_exit man
-  end
+  if n.var <> const_var then
+    match Hashtbl.find_opt man.refs n.id with
+    | Some (_, c) ->
+      decr c;
+      if !c <= 0 then Hashtbl.remove man.refs n.id
+    | None -> ()
 
 let with_root man e k =
   ref_ man e;
@@ -821,95 +568,11 @@ let gc_internal man roots =
   emit_event man (Gc_run { reclaimed; live_nodes = live + 1 });
   reclaimed
 
-(* Stop-the-world collection over a shared store.  The requesting
-   domain must be *outside* any bracketed operation (collections only
-   start at operation boundaries, exactly as in the private engine).
-   Protocol: serialize collectors on [sh_gc_lock], raise
-   [sh_gc_pending], wait until every active mutator drains, then — with
-   every domain parked — mark from all views' roots and projection
-   edges, rebuild each stripe keeping marked nodes, and reset every
-   view's computed cache (cached results may reference swept nodes).
-   Stripe locks are taken during the rebuild purely as belt and braces;
-   no mutator can hold one while the world is stopped. *)
-let shared_gc man sh roots =
-  Mutex.lock sh.sh_gc_lock;
-  Atomic.set sh.sh_gc_wanted false;
-  Atomic.set sh.sh_gc_pending true;
-  let t0 = Obs.Clock.now_ns () in
-  Mutex.lock sh.sh_lock;
-  while Atomic.get sh.sh_active > 0 do
-    Condition.wait sh.sh_cv sh.sh_lock
-  done;
-  let views = sh.sh_views in
-  Mutex.unlock sh.sh_lock;
-  Atomic.incr sh.sh_barrier_waits;
-  ignore
-    (Atomic.fetch_and_add sh.sh_barrier_wait_ns
-       (Int64.to_int (Int64.sub (Obs.Clock.now_ns ()) t0)));
-  List.iter
-    (fun v ->
-       Hashtbl.iter (fun _ (n, _) -> gc_mark n) v.refs;
-       Array.iter
-         (function Some e -> gc_mark e.node | None -> ())
-         v.var_edges)
-    views;
-  List.iter (fun e -> gc_mark e.node) roots;
-  let before = Atomic.get sh.sh_live in
-  let live = ref 0 in
-  Array.iter
-    (fun st ->
-       Mutex.lock st.st_lock;
-       let marked =
-         Array.fold_left
-           (fun acc n ->
-              if n != sh.sh_terminal && n.mark then acc + 1 else acc)
-           0 st.st_slots
-       in
-       let wanted =
-         next_pow2 (max min_stripe_capacity (marked * 2)) min_stripe_capacity
-       in
-       let newcap = min (st.st_mask + 1) wanted in
-       stripe_rebuild sh.sh_terminal st newcap
-         (fun n ->
-            if n.mark then begin
-              n.mark <- false;
-              true
-            end
-            else false);
-       live := !live + st.st_count;
-       Mutex.unlock st.st_lock)
-    sh.sh_stripes;
-  Atomic.set sh.sh_live !live;
-  List.iter cache_reset views;
-  let reclaimed = before - !live in
-  man.gc_runs <- man.gc_runs + 1;
-  man.gc_nodes <- man.gc_nodes + reclaimed;
-  Atomic.incr sh.sh_gc_runs;
-  ignore (Atomic.fetch_and_add sh.sh_gc_reclaimed reclaimed);
-  Atomic.set sh.sh_gc_pending false;
-  Mutex.lock sh.sh_lock;
-  Condition.broadcast sh.sh_cv;
-  Mutex.unlock sh.sh_lock;
-  Mutex.unlock sh.sh_gc_lock;
-  emit_event man (Gc_run { reclaimed; live_nodes = !live + 1 });
-  reclaimed
-
 let gc ?(roots = []) man =
-  match man.shared with
-  | None ->
-    man.gc_wanted <- false;
-    gc_internal man roots
-  | Some sh -> shared_gc man sh roots
+  man.gc_wanted <- false;
+  gc_internal man roots
 
-(* Auto-GC on a shared store requires unanimous consent: any view that
-   suspended it (a fixpoint loop holding un-rooted working sets) vetoes
-   collection store-wide via the [sh_no_auto] count. *)
-let set_auto_gc man b =
-  (match man.shared with
-   | Some sh when man.auto_gc <> b ->
-     if b then Atomic.decr sh.sh_no_auto else Atomic.incr sh.sh_no_auto
-   | _ -> ());
-  man.auto_gc <- b
+let set_auto_gc man b = man.auto_gc <- b
 
 (* Long fixpoint computations (symbolic traversal) hold their evolving
    working set only on un-rooted OCaml edges; an automatic collection
@@ -924,23 +587,12 @@ let without_auto_gc man k =
 
 (* Collection only ever runs at operation boundaries: recursions in flight
    hold un-rooted intermediate edges on the OCaml stack, and sweeping them
-   would cost canonicity (never correctness, but still).  On a shared
-   view the trigger additionally requires unanimous auto-GC consent, and
-   a compare-and-set elects a single collecting domain. *)
+   would cost canonicity (never correctness, but still). *)
 let maybe_gc man =
-  match man.shared with
-  | None ->
-    if man.gc_wanted then begin
-      man.gc_wanted <- false;
-      ignore (gc_internal man [])
-    end
-  | Some sh ->
-    if
-      man.auto_gc
-      && Atomic.get sh.sh_gc_wanted
-      && Atomic.get sh.sh_no_auto = 0
-      && Atomic.compare_and_set sh.sh_gc_wanted true false
-    then ignore (shared_gc man sh [])
+  if man.gc_wanted then begin
+    man.gc_wanted <- false;
+    ignore (gc_internal man [])
+  end
 
 (* ----- Resource budgets ----- *)
 
@@ -1023,7 +675,7 @@ let budget_fail b r =
 let budget_step man b =
   let steps = b.b_steps + 1 in
   b.b_steps <- steps;
-  let live = live_count man in
+  let live = man.ucount in
   if live > b.b_max_nodes then
     budget_fail b (Nodes { limit = b.b_max_nodes; live });
   if steps > b.b_max_steps then budget_fail b (Steps { limit = b.b_max_steps });
@@ -1226,22 +878,22 @@ and ite_aux man f g h =
 let ite man f g h =
   maybe_gc man;
   budget_entry man;
-  shared_op man (fun () -> ite_norm man f g h)
+  ite_norm man f g h
 
 let and_ man f g =
   maybe_gc man;
   budget_entry man;
-  shared_op man (fun () -> and_rec man f g)
+  and_rec man f g
 
 let or_ man f g =
   maybe_gc man;
   budget_entry man;
-  shared_op man (fun () -> or_rec man f g)
+  or_rec man f g
 
 let xor man f g =
   maybe_gc man;
   budget_entry man;
-  shared_op man (fun () -> xor_rec man f g)
+  xor_rec man f g
 
 let dand = and_
 let dor = or_
@@ -1262,7 +914,6 @@ let leq man f g = is_zero (diff man f g)
 let cofactor man f ~var phase =
   maybe_gc man;
   budget_entry man;
-  shared_op man @@ fun () ->
   let memo = Hashtbl.create 64 in
   let rec go f =
     if topvar f > var then f
@@ -1377,21 +1028,18 @@ let quantify_rec man tag combine vars suffix i0 f0 =
 let exists man vars f =
   maybe_gc man;
   budget_entry man;
-  shared_op man @@ fun () ->
   let vars, suffix = cube_of_list man vars in
   quantify_rec man tag_exists or_rec vars suffix 0 f
 
 let forall man vars f =
   maybe_gc man;
   budget_entry man;
-  shared_op man @@ fun () ->
   let vars, suffix = cube_of_list man vars in
   quantify_rec man tag_forall and_rec vars suffix 0 f
 
 let and_exists man vars f g =
   maybe_gc man;
   budget_entry man;
-  shared_op man @@ fun () ->
   let vars, suffix = cube_of_list man vars in
   let nv = Array.length vars in
   let rec go i f g =
@@ -1438,7 +1086,6 @@ let vector_compose man f subs =
   | _ ->
     maybe_gc man;
     budget_entry man;
-    shared_op man @@ fun () ->
     let table = Hashtbl.create 16 in
     List.iter (fun (v, g) -> Hashtbl.replace table v g) subs;
     let bindings =
@@ -1505,7 +1152,7 @@ let constrain man f c =
   if is_zero c then invalid_arg "Core_dd.constrain: empty care set";
   maybe_gc man;
   budget_entry man;
-  shared_op man (fun () -> constrain_rec man f c)
+  constrain_rec man f c
 
 let rec restrict_rec man f c =
   if is_one c || is_const f then f
@@ -1533,7 +1180,7 @@ let restrict man f c =
   if is_zero c then invalid_arg "Core_dd.restrict: empty care set";
   maybe_gc man;
   budget_entry man;
-  shared_op man (fun () -> restrict_rec man f c)
+  restrict_rec man f c
 
 (* ----- Inspection ----- *)
 
@@ -1658,6 +1305,55 @@ let count_below man f level =
   let n = ref 0 in
   iter_nodes man f (fun _ v -> if v > level then incr n);
   !n
+
+(* ----- Structural audit ----- *)
+
+let audit man =
+  let fail msg = failwith ("Core_dd.audit: " ^ msg) in
+  let stored = Hashtbl.create (2 * man.ucount + 16) in
+  let count = ref 0 in
+  Array.iteri
+    (fun i n ->
+       if n != man.terminal then begin
+         incr count;
+         if n.n_hi.neg then fail "complemented then-edge";
+         if n.var > n.bot then fail "bot above var";
+         if (not man.chain) && n.bot > n.var then
+           fail "chain node in a plain manager";
+         if n.bot >= n.n_hi.node.var || n.bot >= n.n_lo.node.var then
+           fail "level order violated";
+         if equal n.n_hi n.n_lo then fail "redundant node";
+         if
+           man.chain && is_one n.n_hi && (not n.n_lo.neg)
+           && n.n_lo.node.var = n.bot + 1
+         then fail "unabsorbed chain";
+         let key = (n.var, n.bot, n.n_hi.node.id, uid n.n_lo) in
+         if Hashtbl.mem stored key then fail "duplicate node (canonicity)";
+         Hashtbl.add stored key n;
+         (* open addressing: no empty slot between the home slot and [i] *)
+         let rec reachable j =
+           j = i
+           || man.uslots.(j) != man.terminal
+              && reachable ((j + 1) land man.umask)
+         in
+         if
+           not
+             (reachable
+                (u_hash n.var n.bot n.n_hi.node.id (uid n.n_lo) land man.umask))
+         then fail "node off its probe sequence"
+       end)
+    man.uslots;
+  if !count <> man.ucount then fail "live count drifted";
+  Hashtbl.iter
+    (fun id (n, c) ->
+       if !c <= 0 || n.id <> id then fail "bad root entry";
+       match
+         Hashtbl.find_opt stored (n.var, n.bot, n.n_hi.node.id, uid n.n_lo)
+       with
+       | Some m when m == n -> ()
+       | _ -> fail "root not in the unique table")
+    man.refs;
+  !count
 
 (* ----- Size metrics ----- *)
 
@@ -1807,25 +1503,13 @@ module Stats = struct
     }
 end
 
-(* On a shared view the store-wide quantities (live nodes, peak,
-   interned total, table capacity) come from the store's atomics; the
-   cache and recursion counters stay the view's own. *)
 let snapshot man : Stats.t =
-  let live_nodes, peak_live_nodes, interned_total, unique_capacity =
-    match man.shared with
-    | None -> (man.ucount + 1, man.peak_live + 1, man.made, man.umask + 1)
-    | Some sh ->
-      ( Atomic.get sh.sh_live + 1,
-        Atomic.get sh.sh_peak + 1,
-        Atomic.get sh.sh_made,
-        Array.fold_left (fun acc st -> acc + st.st_mask + 1) 0 sh.sh_stripes )
-  in
   {
     Stats.vars = man.vars;
-    live_nodes;
-    peak_live_nodes;
-    interned_total;
-    unique_capacity;
+    live_nodes = man.ucount + 1;
+    peak_live_nodes = man.peak_live + 1;
+    interned_total = man.made;
+    unique_capacity = man.umask + 1;
     external_refs = Hashtbl.length man.refs;
     cache_entries = man.centries;
     cache_capacity = man.cmask + 1;
@@ -1854,241 +1538,3 @@ let stats man =
     s.Stats.interned_total s.Stats.cache_entries s.Stats.cache_capacity
     (100.0 *. Stats.hit_rate s)
     s.Stats.gc_runs s.Stats.gc_reclaimed
-
-(* ----- Concurrent manager tier: the shared store's public face ----- *)
-
-module Shared = struct
-  type store = shared
-
-  type telemetry = {
-    stripes : int;
-    views : int;
-    live_nodes : int;
-    peak_live_nodes : int;
-    interned_total : int;
-    intern_retries : int;
-    gc_runs : int;
-    gc_reclaimed : int;
-    barrier_waits : int;
-    barrier_wait_ns : int;
-  }
-
-  let create ?(nvars = 0) ?(stripes = 64) ?(repr : repr = `Bdd) () =
-    if stripes < 1 then invalid_arg "Shared.create: stripes";
-    let nstripes = min 1024 (next_pow2 stripes 1) in
-    let rec terminal =
-      { id = 0; var = const_var; bot = const_var; n_hi = self; n_lo = self;
-        mark = false }
-    and self = { neg = false; node = terminal } in
-    {
-      sh_chain = (repr = `Cbdd);
-      sh_stripes =
-        Array.init nstripes (fun _ ->
-            {
-              st_lock = Mutex.create ();
-              st_slots = Array.make min_stripe_capacity terminal;
-              st_mask = min_stripe_capacity - 1;
-              st_count = 0;
-            });
-      sh_terminal = terminal;
-      sh_top = self;
-      sh_next_id = Atomic.make 1;
-      sh_made = Atomic.make 0;
-      sh_live = Atomic.make 0;
-      sh_peak = Atomic.make 0;
-      sh_vars = Atomic.make nvars;
-      sh_ext_refs = Atomic.make 0;
-      sh_gc_wanted = Atomic.make false;
-      sh_no_auto = Atomic.make 0;
-      sh_active = Atomic.make 0;
-      sh_gc_pending = Atomic.make false;
-      sh_lock = Mutex.create ();
-      sh_cv = Condition.create ();
-      sh_gc_lock = Mutex.create ();
-      sh_views = [];
-      sh_free = [];
-      sh_intern_retries = Atomic.make 0;
-      sh_barrier_waits = Atomic.make 0;
-      sh_barrier_wait_ns = Atomic.make 0;
-      sh_gc_runs = Atomic.make 0;
-      sh_gc_reclaimed = Atomic.make 0;
-    }
-
-  (* A view: domain-local computed cache, cube tables, roots, budget and
-     counters over the shared node store.  The private unique-table
-     fields are left as one-slot stubs — every intern dispatches to the
-     store.  Registration makes the view a GC root source, so attach it
-     before rooting anything through it. *)
-  let attach ?(cache_bits = default_cache_bits)
-      ?(cache_budget = default_cache_budget) ?(auto_gc = true) sh =
-    let terminal = sh.sh_terminal in
-    let cache_bits = max 1 (min 24 cache_bits) in
-    let ccap = 1 lsl cache_bits in
-    let cache_max_entries =
-      let budget_entries = max 1 (cache_budget / bytes_per_cache_entry) in
-      let rec down k = if k * 2 <= budget_entries then down (k * 2) else k in
-      max ccap (down 1)
-    in
-    let nvars = Atomic.get sh.sh_vars in
-    let view =
-      {
-        chain = sh.sh_chain;
-        vars = nvars;
-        uslots = Array.make 1 terminal;
-        umask = 0;
-        ucount = 0;
-        ck0 = Array.make ccap min_int;
-        ck1 = Array.make ccap 0;
-        ck2 = Array.make ccap 0;
-        cres = Array.make ccap sh.sh_top;
-        cmask = ccap - 1;
-        centries = 0;
-        cache_max_entries;
-        evict_since_resize = 0;
-        next_id = 1;
-        terminal;
-        top = sh.sh_top;
-        made = 0;
-        iarr_ids =
-          (let t = Hashtbl.create 64 in
-           Hashtbl.add t [||] 0;
-           t);
-        next_iarr = 1;
-        cube_suffixes = Hashtbl.create 64;
-        var_edges = Array.make (max 16 nvars) None;
-        refs = Hashtbl.create 64;
-        auto_gc;
-        gc_wanted = false;
-        budget = None;
-        n_ite = 0;
-        n_and = 0;
-        n_xor = 0;
-        n_constrain = 0;
-        n_restrict = 0;
-        n_quantify = 0;
-        n_and_exists = 0;
-        c_lookups = 0;
-        c_hits = 0;
-        c_stores = 0;
-        c_evicts = 0;
-        gc_runs = 0;
-        gc_nodes = 0;
-        peak_live = 0;
-        listeners = [];
-        reorder_state = None;
-        shared = Some sh;
-        op_depth = 0;
-      }
-    in
-    if not auto_gc then Atomic.incr sh.sh_no_auto;
-    Mutex.lock sh.sh_lock;
-    sh.sh_views <- view :: sh.sh_views;
-    Mutex.unlock sh.sh_lock;
-    view
-
-  let store_of man = man.shared
-  let is_shared man = Option.is_some man.shared
-
-  (* Deregistration drops the view's roots: nodes only it kept alive
-     become garbage at the next collection. *)
-  let detach man =
-    match man.shared with
-    | None -> invalid_arg "Shared.detach: private manager"
-    | Some sh ->
-      Mutex.lock sh.sh_lock;
-      sh.sh_views <- List.filter (fun v -> v != man) sh.sh_views;
-      sh.sh_free <- List.filter (fun v -> v != man) sh.sh_free;
-      Mutex.unlock sh.sh_lock;
-      if not man.auto_gc then Atomic.decr sh.sh_no_auto;
-      let dropped = Hashtbl.length man.refs in
-      if dropped > 0 then
-        ignore (Atomic.fetch_and_add sh.sh_ext_refs (-dropped));
-      Hashtbl.reset man.refs
-
-  let view_count sh =
-    Mutex.lock sh.sh_lock;
-    let n = List.length sh.sh_views in
-    Mutex.unlock sh.sh_lock;
-    n
-
-  (* Check out a view for the calling domain, reusing detachable idle
-     views so worker pools don't pay a fresh cache allocation per task.
-     The same view may serve different domains over time — never two at
-     once — which is exactly the manager thread-safety contract. *)
-  let with_view sh f =
-    let view =
-      Mutex.lock sh.sh_lock;
-      match sh.sh_free with
-      | v :: rest ->
-        sh.sh_free <- rest;
-        Mutex.unlock sh.sh_lock;
-        v
-      | [] ->
-        Mutex.unlock sh.sh_lock;
-        attach sh
-    in
-    Fun.protect
-      ~finally:(fun () ->
-        Mutex.lock sh.sh_lock;
-        sh.sh_free <- view :: sh.sh_free;
-        Mutex.unlock sh.sh_lock)
-      (fun () -> f view)
-
-  let stripes sh = Array.length sh.sh_stripes
-  let live_nodes sh = Atomic.get sh.sh_live
-
-  let telemetry sh =
-    {
-      stripes = Array.length sh.sh_stripes;
-      views = view_count sh;
-      live_nodes = Atomic.get sh.sh_live;
-      peak_live_nodes = Atomic.get sh.sh_peak;
-      interned_total = Atomic.get sh.sh_made;
-      intern_retries = Atomic.get sh.sh_intern_retries;
-      gc_runs = Atomic.get sh.sh_gc_runs;
-      gc_reclaimed = Atomic.get sh.sh_gc_reclaimed;
-      barrier_waits = Atomic.get sh.sh_barrier_waits;
-      barrier_wait_ns = Atomic.get sh.sh_barrier_wait_ns;
-    }
-
-  (* Structural audit for tests: every stored node satisfies the
-     canonical-form invariants and no (var, then, else) triple appears
-     twice anywhere in the store.  Returns the live node count. *)
-  let self_check sh =
-    let seen = Hashtbl.create 4096 in
-    let count = ref 0 in
-    Array.iter
-      (fun st ->
-         Mutex.lock st.st_lock;
-         Array.iter
-           (fun n ->
-              if n != sh.sh_terminal then begin
-                incr count;
-                if n.n_hi.neg then
-                  failwith "Shared.self_check: complemented then-edge";
-                if n.var > n.bot then
-                  failwith "Shared.self_check: bot above var";
-                if (not sh.sh_chain) && n.bot > n.var then
-                  failwith "Shared.self_check: chain node in a plain store";
-                if n.bot >= n.n_hi.node.var || n.bot >= n.n_lo.node.var then
-                  failwith "Shared.self_check: level order violated";
-                if n.n_hi.node == n.n_lo.node && n.n_hi.neg = n.n_lo.neg then
-                  failwith "Shared.self_check: redundant node";
-                if
-                  sh.sh_chain
-                  && n.n_hi.node.var = const_var && not n.n_hi.neg
-                  && (not n.n_lo.neg)
-                  && n.n_lo.node.var = n.bot + 1
-                then failwith "Shared.self_check: unabsorbed chain";
-                let key = (n.var, n.bot, n.n_hi.node.id, uid n.n_lo) in
-                if Hashtbl.mem seen key then
-                  failwith "Shared.self_check: duplicate node (canonicity)";
-                Hashtbl.add seen key ()
-              end)
-           st.st_slots;
-         Mutex.unlock st.st_lock)
-      sh.sh_stripes;
-    if !count <> Atomic.get sh.sh_live then
-      failwith "Shared.self_check: live count drifted";
-    !count
-end

@@ -24,18 +24,13 @@
 
 type man
 (** A BDD manager: owns the unique table and the operation caches.  All
-    edges combined by an operation must belong to the same manager — or,
-    for shared-store views, to views of the same store (see {!Shared}).
+    edges combined by an operation must belong to the same manager.
 
-    A manager created by {!new_man} is {e domain-local by design}: there
-    is no internal locking, so it (and every edge it owns) must stay
-    confined to one domain at a time.  Parallel workloads either give
-    each worker its own private manager — the experiment matrix is
-    embarrassingly parallel across managers (see [Exec] and
-    [Harness.Capture.run_suite]) — or attach per-domain {e views} of one
-    {!Shared.store} so workers cooperate on a single node space.  A view
-    is still single-domain state (its computed cache and counters are
-    unsynchronized); only the underlying store is concurrent. *)
+    A manager is {e domain-local by design}: there is no internal
+    locking, so it (and every edge it owns) must stay confined to one
+    domain at a time.  Parallel workloads give each worker its own
+    private manager — the experiment matrix is embarrassingly parallel
+    across managers (see [Exec] and [Harness.Capture.run_suite]). *)
 
 type t
 (** An edge (a possibly complemented pointer to a node).  Two edges of the
@@ -235,9 +230,7 @@ type engine_event =
   | Cache_grown of { old_capacity : int; new_capacity : int }
   (** The computed cache doubled (entry counts). *)
   | Table_grown of { old_capacity : int; new_capacity : int }
-  (** The unique table doubled (slot counts).  Emitted by private
-      managers only — shared-store stripes grow under their stripe lock
-      and publish no per-view events.  This is the trigger
+  (** The unique table doubled (slot counts).  This is the trigger
       [Reorder.Policy.On_growth] subscribes to. *)
 
 val on_event : man -> (engine_event -> unit) -> unit
@@ -539,102 +532,13 @@ val count_below : man -> t -> int -> int
 (** The paper's [N_i(g)]: number of distinct nodes rooted strictly below
     level [i] (terminal included). *)
 
-(** {1 Concurrent manager tier}
-
-    A {!Shared.store} is a node space several domains can safely share:
-    a striped open-addressed unique table (the stripe is chosen from
-    hash bits disjoint from the in-stripe probe bits, so concurrent
-    interns rarely contend on a lock) plus a stop-the-world
-    mark-and-sweep collector.  Each participating domain {!Shared.attach}es
-    a {e view} — an ordinary {!man} whose interning is routed to the
-    store while its computed cache, cube tables, external roots, budget
-    and statistics stay domain-local, eliminating cache-line ping-pong
-    on the apply hot path.
-
-    Safety contract:
-    - a view is used by at most one domain at a time (views may migrate
-      between domains, e.g. through {!Shared.with_view}, but never
-      concurrently);
-    - edges are freely shareable across views of the same store —
-      canonicity is store-wide, so [equal] works between results
-      produced by different domains;
-    - public operations on views participate in the GC barrier; a
-      collection stops the world, marks from {e every} view's registered
-      roots and projection functions, sweeps the stripes and resets
-      every view's computed cache;
-    - automatic collection needs unanimous consent: any view inside
-      {!without_auto_gc} vetoes the trigger store-wide, so fixpoint
-      loops keep their un-rooted working sets canonical even while other
-      domains keep operating;
-    - read-only inspection ({!size}, {!support}, {!eval}, {!iter_nodes})
-      is safe concurrently with interning, but as in the private engine
-      un-rooted edges may lose canonicity across a collection. *)
-
-module Shared : sig
-  type store
-  (** A shared node store.  Thread-safe; create once, attach a view per
-      worker domain. *)
-
-  val create : ?nvars:int -> ?stripes:int -> ?repr:repr -> unit -> store
-  (** [create ()] builds an empty store.  [stripes] (default 64, rounded
-      up to a power of two, clamped to [1, 1024]) is the unique-table
-      stripe count: each stripe is an independently locked and
-      independently grown open-addressed table.  [repr] (default
-      [`Bdd]) fixes the node representation of every view. *)
-
-  val attach :
-    ?cache_bits:int -> ?cache_budget:int -> ?auto_gc:bool -> store -> man
-  (** Attach a fresh view for the calling domain (parameters as in
-      {!new_man}, governing the view's private computed cache).  The
-      view is registered as a GC root source until {!detach}. *)
-
-  val detach : man -> unit
-  (** Deregister a view: its external roots stop protecting nodes at
-      the next collection.  @raise Invalid_argument on a private
-      manager. *)
-
-  val with_view : store -> (man -> 'a) -> 'a
-  (** [with_view store f] checks out an idle view (reusing previously
-      returned ones, so a worker pool pays the view's cache allocation
-      only once per concurrency level), runs [f] and returns the view
-      to the idle pool (also on exceptions).  The caller must not leak
-      the view outside [f]. *)
-
-  val store_of : man -> store option
-  (** The store a view is attached to; [None] for private managers. *)
-
-  val is_shared : man -> bool
-
-  val view_count : store -> int
-  (** Number of currently attached views ({!Reorder.sift} refuses a
-      manager whose store has more than one). *)
-
-  val stripes : store -> int
-
-  val live_nodes : store -> int
-  (** Store-wide live node count, terminal excluded. *)
-
-  type telemetry = {
-    stripes : int;
-    views : int;
-    live_nodes : int;
-    peak_live_nodes : int;
-    interned_total : int;
-    intern_retries : int;
-    (** interns that found their stripe lock already held *)
-    gc_runs : int;
-    gc_reclaimed : int;
-    barrier_waits : int;
-    (** times any domain blocked at the GC barrier (mutators parking
-        plus collectors awaiting quiescence) *)
-    barrier_wait_ns : int;  (** total nanoseconds spent in those waits *)
-  }
-
-  val telemetry : store -> telemetry
-
-  val self_check : store -> int
-  (** Audit the store: canonical-form invariants on every interned node
-      and store-wide uniqueness of [(var, then, else)] triples.  Returns
-      the live node count.  Stops no clocks but takes every stripe lock;
-      meant for tests.  @raise Failure on any violation. *)
-end
+val audit : man -> int
+(** Audit the manager's unique table and roots, for tests.  Checks that
+    every stored node is in canonical form (regular then-edge, level
+    order, no redundant node; no chain node in a plain manager and the
+    chain absorption rule in a chain-reduced one), that no
+    [(var, bot, then, else)] key appears twice and every node is
+    reachable along its own probe sequence, that the live count matches
+    the occupied slots, and that every external root names a node
+    stored in the table.  Returns the live node count (terminal
+    excluded).  @raise Failure on any violation. *)

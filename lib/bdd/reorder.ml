@@ -60,25 +60,7 @@ let placement_of_order n order =
   List.iteri (fun level v -> placement.(v) <- level) order;
   placement
 
-(* Sifting reads the whole source cone over and over while other domains
-   of a shared store may be interning and triggering collections; with
-   more than one registered view the measurement walks would race the
-   collector's sweeps.  Refuse loudly instead of corrupting anything:
-   the caller must quiesce to a single attached view first. *)
-let check_siftable man =
-  match Core_dd.Shared.store_of man with
-  | None -> ()
-  | Some store ->
-    let views = Core_dd.Shared.view_count store in
-    if views > 1 then
-      invalid_arg
-        (Printf.sprintf
-           "Reorder.sift: manager is a view of a shared store with %d \
-            registered views; detach down to one before reordering"
-           views)
-
 let sift ?(max_rounds = 2) man fs =
-  check_siftable man;
   let vars = union_support man fs in
   match vars with
   | [] | [ _ ] ->
@@ -228,12 +210,7 @@ module Policy = struct
       if not st.Core_dd.rp_pending then None
       else begin
         st.Core_dd.rp_pending <- false;
-        let multi_view =
-          match Core_dd.Shared.store_of man with
-          | Some store -> Core_dd.Shared.view_count store > 1
-          | None -> false
-        in
-        if multi_view || st.Core_dd.rp_passes >= st.Core_dd.rp_max_passes then
+        if st.Core_dd.rp_passes >= st.Core_dd.rp_max_passes then
           None
         else
           match

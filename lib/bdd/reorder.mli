@@ -38,12 +38,7 @@ val sift :
     memoized, and the no-op insertion (putting a variable back where it
     is) is skipped, so each distinct order costs at most one rebuild.
     Returns the best placement found (never worse than the identity) and
-    its shared size.
-
-    @raise Invalid_argument when [man] is a view of a
-    {!Core_dd.Shared.store} with more than one registered view: the
-    repeated measurement walks would race other domains' collections.
-    Detach down to a single view before reordering. *)
+    its shared size. *)
 
 val sift_apply :
   ?max_rounds:int ->
@@ -98,9 +93,8 @@ module Policy : sig
     Core_dd.t list ->
     (int array * Core_dd.man * Core_dd.t list) option
   (** Run the armed pass, if any: [None] when nothing is pending, when
-      the pass allowance is spent, when the manager is a multi-view
-      shared store (see {!sift}'s restriction — checked, not raised),
-      or when the installed budget is already exhausted
+      the pass allowance is spent, or when the installed budget is
+      already exhausted
       ({!Core_dd.Budget_exhausted} is trapped and reported as [None],
       with the pending flag consumed).  On success, behaves like
       {!sift_apply}; the rebuilt manager inherits the representation,

@@ -48,14 +48,6 @@ let map_futures pool f xs =
        r)
     futures
 
-(* Same contract as [map], but over a caller-owned pool that stays up
-   afterwards — for pipelines that fan out repeatedly (a reachability
-   loop dispatching every image, a minimizer dispatching every output)
-   and cannot afford a domain spawn per fan-out.  Beware that awaiting
-   from inside a pool job would deadlock a single-worker pool; only call
-   this from outside the pool's own workers. *)
-let map_on pool f xs = map_futures pool f xs
-
 let map ?(jobs = 1) f xs =
   if jobs <= 1 then List.map f xs
   else

@@ -18,25 +18,6 @@
 
 type strategy = Monolithic | Partitioned | Clustered | Range
 
-type par = Minimize.Par.t
-(** Parallel execution context: an [Exec.Pool] plus the shared node
-    store ({!Bdd.Shared.store}) the machine's manager is a view of.
-    With a context, the scheduled conjoin-and-quantify walk runs as a
-    pairwise merge tree whose [and_exists] merges are dispatched onto
-    pool workers (each on a checked-out view of the store).  The merge
-    tree quantifies each variable only once no conjunct outside the
-    merged subtree mentions it, so the computed image is the {e same
-    canonical edge} the sequential walk produces — parallelism never
-    changes results, only wall time.  Worker views carry no budget;
-    combine budgets with sequential images. *)
-
-val par : pool:Exec.Pool.t -> store:Bdd.Shared.store -> par
-
-val par_for : ?pool:Exec.Pool.t -> Symbolic.t -> par option
-(** [par_for ?pool sym] is [Some] context iff [pool] is given {e and}
-    the machine's manager is a shared-store view — the convenient guard
-    for CLI [-j] plumbing. *)
-
 val strategy_name : strategy -> string
 (** ["monolithic"], ["partitioned"], ["clustered"] or ["range"] (CLI and
     trace labels). *)
@@ -48,7 +29,6 @@ val image :
   ?strategy:strategy ->
   ?cluster_bound:int ->
   ?on_constrain:(Minimize.Ispec.t -> unit) ->
-  ?par:par ->
   Symbolic.t ->
   Bdd.t ->
   Bdd.t
@@ -58,9 +38,7 @@ val image :
     generalized-cofactor calls of the {!Range} strategy (it is ignored by
     the other strategies) — these are the incompletely specified
     functions the paper's instrumented [verify_fsm] intercepts besides
-    the frontier minimizations.  [par] parallelizes the
-    {!Partitioned}/{!Clustered} walks over its pool (see {!type-par});
-    it is ignored by the other strategies. *)
+    the frontier minimizations. *)
 
 val image_monolithic : Symbolic.t -> Bdd.t -> Bdd.t
 val image_partitioned : Symbolic.t -> Bdd.t -> Bdd.t

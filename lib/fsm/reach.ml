@@ -22,7 +22,7 @@ let constrain_minimizer man (s : Minimize.Ispec.t) =
 
 let no_minimizer _man (s : Minimize.Ispec.t) = s.Minimize.Ispec.f
 
-let reachable ?strategy ?cluster_bound ?par ?(node_stats = false)
+let reachable ?strategy ?cluster_bound ?(node_stats = false)
     ?(minimize = constrain_minimizer)
     ?(max_iterations = max_int) ?(on_instance = fun ~iteration:_ _ -> ())
     ?(on_image_constrain = fun ~iteration:_ _ -> ()) ?resume
@@ -75,7 +75,7 @@ let reachable ?strategy ?cluster_bound ?par ?(node_stats = false)
              on_image_constrain ~iteration
                (Minimize.Ispec.make ~f:delta ~c:chosen))
           sym.next_fns;
-        let successors = Image.image ?strategy ?cluster_bound ?par sym chosen in
+        let successors = Image.image ?strategy ?cluster_bound sym chosen in
         let frontier' = Bdd.diff man successors reached in
         let reached' = Bdd.dor man reached successors in
         if Obs.Trace.enabled () then begin

@@ -37,7 +37,6 @@ val no_minimizer : minimizer
 val reachable :
   ?strategy:Image.strategy ->
   ?cluster_bound:int ->
-  ?par:Image.par ->
   ?node_stats:bool ->
   ?minimize:minimizer ->
   ?max_iterations:int ->
@@ -50,9 +49,6 @@ val reachable :
     exact when [stats.fixpoint = Complete] (independent of the minimizer
     — any cover contains the frontier and only adds already-reached
     states).  [cluster_bound] tunes the {!Image.Clustered} strategy.
-    [par] dispatches each iteration's image merges onto a worker pool
-    (see {!Image.type-par}) — results are bit-identical to a sequential
-    run; it requires the machine's manager to be a shared-store view.
     [node_stats] (default [false]) opts in to the per-iteration
     frontier/reached node counts behind the peak statistics — a full
     traversal of both sets per iteration, otherwise skipped unless

@@ -204,26 +204,11 @@ let eval_outputs t ~state =
 
 let num_state_vars t = Array.length t.state_vars
 
-let restrict_to_care_states ?par t ~care ~minimize =
-  let shrink man g = minimize man (Minimize.Ispec.make ~f:g ~c:care) in
+let restrict_to_care_states t ~care ~minimize =
+  let shrink g = minimize t.man (Minimize.Ispec.make ~f:g ~c:care) in
   let next_fns, output_fns =
-    match par with
-    | None ->
-      ( Array.map (shrink t.man) t.next_fns,
-        List.map (fun (n, g) -> (n, shrink t.man g)) t.output_fns )
-    | Some par ->
-      (* every function shrinks independently; each task checks out a
-         view of the shared store, so the edges land in the same store
-         as a sequential run and are the same canonical results *)
-      let nexts =
-        Minimize.Par.map par shrink (Array.to_list t.next_fns)
-      in
-      let outs =
-        Minimize.Par.map par
-          (fun man (n, g) -> (n, shrink man g))
-          t.output_fns
-      in
-      (Array.of_list nexts, outs)
+    ( Array.map shrink t.next_fns,
+      List.map (fun (n, g) -> (n, shrink g)) t.output_fns )
   in
   {
     t with

@@ -74,7 +74,6 @@ val eval_outputs : t -> state:Bdd.t -> (string * Bdd.t) list
 val num_state_vars : t -> int
 
 val restrict_to_care_states :
-  ?par:Minimize.Par.t ->
   t ->
   care:Bdd.t ->
   minimize:(Bdd.man -> Minimize.Ispec.t -> Bdd.t) ->
@@ -83,10 +82,7 @@ val restrict_to_care_states :
     output function with the states outside [care] (typically the
     reachable set) as don't cares, shrinking the machine's BDDs while
     preserving its behaviour on [care].  Each function [g] is replaced by
-    [minimize man [g; care]].  [par] shrinks the functions in parallel,
-    one pool task per function, each on a checked-out view of the shared
-    store the machine's manager must then belong to — the results are
-    the same canonical edges as a sequential run. *)
+    [minimize man [g; care]]. *)
 
 val shared_node_count : t -> int
 (** Size of the shared BDD DAG of all next-state and output functions —

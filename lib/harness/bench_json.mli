@@ -22,11 +22,6 @@
                    dnf_replies, partial_replies, busy_replies,
                    error_replies, telemetry, server }
                  or null when the serve phase was skipped
-    parallel     { jobs, stripes, views, live_nodes, interned_total,
-                   intern_retries, gc_runs, gc_reclaimed,
-                   gc_barrier_waits, gc_barrier_wait_ms, seq_seconds,
-                   par_seconds, speedup, identical }
-                 or null when the parallel-engine phase was skipped
     cbdd         { calls, plain_total, chain_total, compression, seconds,
                    verdicts_identical }
                  — the CBDD ablation row (the quick suite re-captured
@@ -59,11 +54,7 @@
     client-observed [busy_replies] count (backpressure refusals, not
     errors) and the [server] section of scraped daemon counters —
     result-cache traffic, session and batch activity, busy replies;
-    [/7] added the [parallel] section — the shared-store concurrent
-    manager tier's telemetry (unique-table stripes, intern lock
-    retries, stop-the-world barrier waits) and the seq-vs-par timing
-    and canonical-identity verdict of the parallel reachability
-    workload ([null] when that phase is disabled); [/8] added the
+    [/7] added a [parallel] section (since removed); [/8] added the
     top-level [repr] field, the per-minimizer [total_chain_size]
     column (physical nodes — equal to [total_size] under ["bdd"]) and
     the [cbdd] ablation section.
@@ -116,28 +107,6 @@ type serve_stats = {
 (** The [serve] section, as a plain record so this library needs no
     dependency on [serve] — callers copy the loadgen stats across. *)
 
-type parallel_stats = {
-  par_jobs : int;  (** worker domains of the parallel-engine phase *)
-  par_stripes : int;  (** unique-table stripes of the shared store *)
-  par_views : int;  (** views attached at scrape time *)
-  par_live_nodes : int;
-  par_interned_total : int;
-  par_intern_retries : int;
-      (** interns that found their stripe lock already held *)
-  par_gc_runs : int;
-  par_gc_reclaimed : int;
-  par_barrier_waits : int;
-      (** domains blocked at the stop-the-world GC barrier *)
-  par_barrier_wait_ms : float;
-  par_seq_seconds : float;  (** same workload, sequential, same store *)
-  par_par_seconds : float;
-  par_speedup : float;  (** seq / par; ≈ 1.0 on a single-CPU host *)
-  par_identical : bool;
-      (** parallel results were the same canonical edges as sequential *)
-}
-(** The [parallel] section — concurrent manager telemetry plus the
-    seq-vs-par comparison of the phase's reachability workload. *)
-
 type cbdd_stats = {
   cbdd_calls : int;  (** measured calls of the ablation capture *)
   cbdd_plain_total : int;
@@ -153,7 +122,6 @@ type cbdd_stats = {
 
 val render :
   ?serve:serve_stats ->
-  ?parallel:parallel_stats ->
   ?cbdd:cbdd_stats ->
   ?repr:Bdd.repr ->
   jobs:int ->
@@ -172,12 +140,11 @@ val render :
 (** Render the document.  [names] selects and orders the [minimizers]
     rows; [engine] and [dnf] are typically {!Capture.run_suite_stats}'s
     summed statistics and driver-exhaustion rows.  Non-finite floats
-    render as JSON [null]; an omitted [serve] or [parallel] renders as
+    render as JSON [null]; an omitted [serve] or [cbdd] renders as
     [null]. *)
 
 val write :
   ?serve:serve_stats ->
-  ?parallel:parallel_stats ->
   ?cbdd:cbdd_stats ->
   ?repr:Bdd.repr ->
   path:string ->

@@ -45,7 +45,8 @@ let parse text =
     else begin
       match tokens line with
       | [ input; output ] -> rows := { input; output } :: !rows
-      | [ combined ] when !ni > 0 && String.length combined = !ni + !no ->
+      | [ combined ]
+        when !ni > 0 && !no > 0 && String.length combined = !ni + !no ->
         rows :=
           { input = String.sub combined 0 !ni;
             output = String.sub combined !ni !no }

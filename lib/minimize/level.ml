@@ -80,7 +80,7 @@ let fresh_graph_stats () =
 
 (* Solve FMM on one chunk of gathered pairs and record the replacements in
    [subst] (keyed by the (f, c) edge uids of each original pair). *)
-let solve_chunk ?par man crit params ~level ~gstats subst pairs =
+let solve_chunk man crit params ~level ~gstats subst pairs =
   (* Semantic deduplication: the matching graphs are defined over distinct
      incompletely specified functions, and BDD pairs differing only on
      don't-care values of [f] denote the same function (keeping duplicates
@@ -120,36 +120,9 @@ let solve_chunk ?par man crit params ~level ~gstats subst pairs =
       List.iter (fun sp -> add_subst sp target) (members i)
   in
   gstats.vertices <- gstats.vertices + m;
-  (* With a parallel context the whole adjacency matrix is materialized
-     up front, one row per pool task on a checked-out view of the shared
-     store, and [probe] degrades to a lookup.  [matches] is a pure
-     function of two canonical specs, so the matrix holds exactly the
-     answers the sequential lazy probes would compute — the clique cover
-     and the DAG assignment see identical edges and produce identical
-     covers.  The counters still tick per {e lookup}, so the probe
-     telemetry matches a sequential run; the trade is eager evaluation
-     of the DMG edges the lazy sink-assignment might have skipped. *)
-  let lookup =
-    match par with
-    | Some par when m > 1 ->
-      let rows =
-        Par.map par
-          (fun view j ->
-             Array.init m (fun k ->
-                 j = k || Matching.matches view crit (rep j) (rep k)))
-          (List.init m Fun.id)
-      in
-      let matrix = Array.of_list rows in
-      Some (fun j k -> matrix.(j).(k))
-    | _ -> None
-  in
   let probe j k =
     gstats.edges_probed <- gstats.edges_probed + 1;
-    let r =
-      match lookup with
-      | Some look -> look j k
-      | None -> Matching.matches man crit (rep j) (rep k)
-    in
+    let r = Matching.matches man crit (rep j) (rep k) in
     if r then gstats.edges_matched <- gstats.edges_matched + 1;
     r
   in
@@ -216,7 +189,7 @@ let rebuild man ~level subst (s : Ispec.t) =
   let f, c = go s.Ispec.f s.Ispec.c in
   Ispec.make ~f ~c
 
-let minimize_at_level ?par man ?(params = default_params) crit ~level
+let minimize_at_level man ?(params = default_params) crit ~level
     (s : Ispec.t) =
   Obs.Trace.with_span "level.pass"
     ~attrs:
@@ -245,7 +218,7 @@ let minimize_at_level ?par man ?(params = default_params) crit ~level
     let gstats = fresh_graph_stats () in
     let subst = Hashtbl.create 64 in
     List.iter
-      (fun ch -> solve_chunk ?par man crit params ~level ~gstats subst ch)
+      (fun ch -> solve_chunk man crit params ~level ~gstats subst ch)
       chunks;
     Obs.Trace.add sp "graph_vertices" (Obs.Trace.Int gstats.vertices);
     Obs.Trace.add sp "edges_probed" (Obs.Trace.Int gstats.edges_probed);
@@ -263,14 +236,14 @@ let max_level man (s : Ispec.t) =
   in
   List.fold_left max (-1) sup
 
-let minimize_all_levels ?par man ?params crit (s : Ispec.t) =
+let minimize_all_levels man ?params crit (s : Ispec.t) =
   let top = max_level man s in
   let rec go level spec =
     if level > top then spec
-    else go (level + 1) (minimize_at_level ?par man ?params crit ~level spec)
+    else go (level + 1) (minimize_at_level man ?params crit ~level spec)
   in
   go 0 s
 
-let opt_lv ?par man ?params (s : Ispec.t) =
+let opt_lv man ?params (s : Ispec.t) =
   if Bdd.is_zero s.Ispec.c then invalid_arg "Level.opt_lv: empty care set";
-  (minimize_all_levels ?par man ?params Matching.Tsm s).Ispec.f
+  (minimize_all_levels man ?params Matching.Tsm s).Ispec.f

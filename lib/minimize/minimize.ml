@@ -8,7 +8,6 @@
 
 module Ispec = Ispec
 module Ctx = Ctx
-module Par = Par
 module Matching = Matching
 module Sibling = Sibling
 module Graph = Graph

@@ -18,7 +18,6 @@ type result = {
 }
 
 val minimize :
-  ?par:Par.t ->
   Bdd.man ->
   minimizer:(Bdd.man -> Ispec.t -> Bdd.t) ->
   Ispec.t list ->
@@ -34,15 +33,9 @@ val minimize :
     function raises [Invalid_argument] otherwise.  (FSM encodings from
     {!Fsm.Symbolic} satisfy this when built with a fresh manager whose
     low variables are reserved, or by renaming; see
-    {!minimize_renamed}.)
-
-    [par] recovers the per-output covers in parallel — one pool task per
-    output, each cofactoring the joint cover on a checked-out view of
-    the shared store the manager must then belong to.  The covers are
-    the same canonical edges a sequential run produces. *)
+    {!minimize_renamed}.) *)
 
 val minimize_renamed :
-  ?par:Par.t ->
   Bdd.man ->
   minimizer:(Bdd.man -> Ispec.t -> Bdd.t) ->
   Ispec.t list ->

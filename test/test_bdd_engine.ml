@@ -71,10 +71,14 @@ let forced_gc_differential =
        Bdd.ref_ man c;
        let r1 = op_results man f c in
        ignore (Bdd.gc man);
+       Util.audit man;
        let r2 = op_results man f c in
        ignore (Bdd.gc man);
+       Util.audit man;
        ignore (Bdd.gc man);
+       Util.audit man;
        let r3 = op_results man f c in
+       Util.audit man;
        let r_big = op_results big (Tt.to_bdd big ft) (Tt.to_bdd big ct) in
        List.for_all2 Tt.equal r1 r_big
        && List.for_all2 Tt.equal r2 r_big
@@ -176,6 +180,7 @@ let canonicity_after_gc_churn =
          ignore (Bdd.dxor man f (Bdd.ithvar man (round mod nvars)));
          ignore (Bdd.restrict man (Bdd.dor man f c) c);
          ignore (Bdd.gc man);
+         Util.audit man;
          (* the same function built two ways from rooted inputs must be
             one edge (same uid), and a different function must not *)
          let a = Bdd.dand man f c in
@@ -203,6 +208,8 @@ let gc_reclaims_and_roots_survive () =
   Util.checkb "garbage is live before gc" (Bdd.size man parity > 2);
   let reclaimed = Bdd.gc man in
   let s = Bdd.snapshot man in
+  Util.checki "audit counts the live nodes" (s.Bdd.Stats.live_nodes - 1)
+    (Bdd.audit man);
   Util.checkb "something was reclaimed" (reclaimed > 0);
   Util.checki "live accounting" (live_before - reclaimed) s.Bdd.Stats.live_nodes;
   Util.checki "gc runs counted" 1 s.Bdd.Stats.gc_runs;
@@ -276,6 +283,7 @@ let auto_gc_triggers () =
   done;
   let s = Bdd.snapshot man in
   Util.checkb "auto gc ran" (s.Bdd.Stats.gc_runs > 0);
+  Util.audit man;
   Util.checkb "auto gc reclaimed nodes" (s.Bdd.Stats.gc_reclaimed > 0);
   Util.checkb "rooted edge survived"
     (Bdd.uid (Bdd.dand man (x 0) (x 1)) = Bdd.uid kept)
@@ -379,6 +387,20 @@ let clear_caches_keeps_nodes () =
   Util.checkb "canonicity kept"
     (Bdd.uid (Bdd.dand man (x 0) (x 1)) = Bdd.uid f)
 
+(* Rooting an edge whose node a collection already swept breaks the
+   root/table agreement; the audit must notice. *)
+let audit_flags_swept_root () =
+  let man = Bdd.create () in
+  let x i = Bdd.ithvar man i in
+  let f = Bdd.dand man (x 0) (x 1) in
+  ignore (Bdd.gc man);
+  Util.audit man;
+  Bdd.ref_ man f;
+  Util.checkb "swept root rejected"
+    (match Bdd.audit man with
+     | exception Failure msg -> Util.contains msg "root"
+     | _ -> false)
+
 let suite =
   [
     tiny_cache_differential;
@@ -404,4 +426,6 @@ let suite =
       and_exists_counted;
     Alcotest.test_case "clear_caches keeps nodes" `Quick
       clear_caches_keeps_nodes;
+    Alcotest.test_case "audit flags a swept root" `Quick
+      audit_flags_swept_root;
   ]

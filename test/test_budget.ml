@@ -167,7 +167,7 @@ let consistency_after_abort =
               ignore
                 (Bdd.with_budget man (B.create ~max_steps:1 ()) (fun () ->
                      op ()))
-            with Bdd.Budget_exhausted _ -> ())
+            with Bdd.Budget_exhausted _ -> Util.audit man)
          [
            (fun () -> Bdd.constrain man f c);
            (fun () -> Bdd.dand man f c);
@@ -176,6 +176,7 @@ let consistency_after_abort =
          ];
        (* The manager still GCs cleanly after the aborts. *)
        ignore (Bdd.gc man);
+       Util.audit man;
        (* Unbudgeted retries on the aborted manager vs. a fresh manager. *)
        let man2 = Bdd.create () in
        let f2, c2 = build man2 in

@@ -58,6 +58,12 @@ let ops_differential =
        in
        let mp, rp = run (plain ()) in
        let mc, rc = run (chained ()) in
+       Util.audit mp;
+       Util.audit mc;
+       (* collect around the rooted results, then audit again *)
+       List.iter (Bdd.ref_ mc) rc;
+       ignore (Bdd.gc mc);
+       Util.audit mc;
        List.for_all2
          (fun a b ->
             agree n a b
@@ -149,6 +155,8 @@ let on_growth_policy repr () =
     Util.checkb "policy survives the rebuild"
       (Bdd.Reorder.Policy.installed target = policy);
     Util.checkb "pending consumed" (not (Bdd.Reorder.Policy.pending man));
+    Util.audit man;
+    Util.audit target;
     Util.checkb "sift never worse" (Bdd.size target g <= Bdd.size man f);
     (* the pass allowance is spent: a second growth cannot re-arm *)
     Util.checkb "allowance spent"
@@ -189,6 +197,8 @@ let remap_cube_after_sift =
        let vars = List.filter (fun _ -> Random.State.bool st) support in
        let before = Bdd.exists man vars f in
        let placement, target, rebuilt = Bdd.Reorder.sift_apply man [ f ] in
+       Util.audit man;
+       Util.audit target;
        let f' = List.hd rebuilt in
        let vars' = Bdd.Reorder.remap_cube ~placement vars in
        (* re-interning under the new names must be accepted *)

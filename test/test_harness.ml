@@ -149,6 +149,29 @@ let table2_mentions_all_heuristics () =
     [ "constrain"; "restrict"; "osm_td"; "osm_nv"; "osm_cp"; "osm_bt";
       "tsm_td"; "tsm_cp" ]
 
+(* Worker domains run independent private-manager captures through
+   [Exec.map] and collect results in submission order, so the CSV is
+   byte-identical at any -j. *)
+let suite_csv_jobs_differential () =
+  let base =
+    Harness.Capture.(
+      default_config |> with_max_calls 4 |> with_lower_bound_cubes 30)
+  in
+  let benches = [ Option.get (Circuits.Registry.find "tlc") ] in
+  let names = Harness.Capture.minimizer_names base in
+  let run jobs =
+    let calls =
+      Harness.Capture.run_suite
+        ~config:(Harness.Capture.with_jobs jobs base)
+        benches
+    in
+    Harness.Tables.calls_to_csv ~names calls
+  in
+  let csv1 = run 1 in
+  Util.checkb "captured something" (String.length csv1 > 0);
+  Util.check Alcotest.string "CSV identical at -j 2" csv1 (run 2);
+  Util.check Alcotest.string "CSV identical at -j 4" csv1 (run 4)
+
 let suite =
   [
     Alcotest.test_case "capture nonempty" `Quick capture_nonempty;
@@ -161,4 +184,6 @@ let suite =
     Alcotest.test_case "csv shape" `Quick csv_shape;
     Alcotest.test_case "max_calls respected" `Quick max_calls_respected;
     Alcotest.test_case "table 2 complete" `Quick table2_mentions_all_heuristics;
+    Alcotest.test_case "suite CSV identical at -j 1/2/4" `Quick
+      suite_csv_jobs_differential;
   ]

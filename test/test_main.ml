@@ -36,7 +36,6 @@ let () =
       ("obs", Test_obs.suite);
       ("metrics+flight", Test_metrics.suite);
       ("exec", Test_exec.suite);
-      ("parallel", Test_parallel.suite);
       ("budget", Test_budget.suite);
       ("serve", Test_serve.suite);
     ]

@@ -128,6 +128,8 @@ let malformed_rejected () =
       ("bad char", ".i 2\n.o 1\n1x 1\n.e\n");
       ("bad type", ".i 1\n.o 1\n.type zz\n1 1\n.e\n");
       ("ilb arity", ".i 2\n.o 1\n.ilb a\n11 1\n.e\n");
+      (* a one-token row before .o once raised Invalid_argument *)
+      ("combined row before .o", ".i 3\neo 1\n.type fd\n1-0 1\n01- -\n2e\n");
     ]
 
 let random_roundtrip =

@@ -82,6 +82,7 @@ let sift_never_worse =
        in
        let before = Bdd.shared_size man fs in
        let placement, after = Bdd.Reorder.sift man fs in
+       Util.audit man;
        after <= before
        && after = Bdd.Reorder.shared_size_under man ~placement fs)
 
@@ -98,6 +99,8 @@ let sift_apply_consistent =
        let placement, target, rebuilt = Bdd.Reorder.sift_apply man [ f ] in
        let _, expected = Bdd.Reorder.sift man [ f ] in
        ignore placement;
+       Util.audit man;
+       Util.audit target;
        Bdd.shared_size target rebuilt = expected)
 
 let bad_placements_rejected () =

@@ -19,6 +19,9 @@ let contains s sub =
 (* A fresh manager per suite keeps node counts meaningful. *)
 let man = Bdd.create ()
 
+(* Structural audit of a manager ([Failure] on any violation). *)
+let audit man = ignore (Bdd.audit man)
+
 let rng = Random.State.make [| 0xbdd; 0xd0c |]
 
 (* Random truth table over [n] vars with onset density [p] (percent). *)
